@@ -157,20 +157,25 @@ pub fn measure(sample: SampleSize) -> ThroughputReport {
 use crate::json::json_escape;
 
 impl ThroughputReport {
-    /// Fast-forward over reference speedup (wall-clock), aggregated over
-    /// the timing-only workloads (both engine modes exist only there).
-    /// `None` until both modes are present.
+    /// Fast-forward over reference speedup (wall-clock): the geometric
+    /// mean over the timing-only workloads (both engine modes exist only
+    /// there) of each workload's reference/fast-forward ratio, so every
+    /// workload weighs the same however long it runs. `None` until some
+    /// workload has both modes.
     pub fn aggregate_speedup(&self) -> Option<f64> {
-        let total = |m: EngineMode| -> f64 {
+        let timing = |m: EngineMode| {
             self.rows
                 .iter()
-                .filter(|r| r.engine == m && r.execution == ExecutionMode::TimingOnly)
-                .map(|r| r.wall_seconds)
-                .sum()
+                .filter(move |r| r.engine == m && r.execution == ExecutionMode::TimingOnly)
         };
-        let reference = total(EngineMode::Reference);
-        let fast = total(EngineMode::FastForward);
-        (reference > 0.0 && fast > 0.0).then(|| reference / fast)
+        let logs: Vec<f64> = timing(EngineMode::Reference)
+            .filter_map(|r| {
+                let fast = timing(EngineMode::FastForward).find(|f| f.name == r.name)?;
+                (r.wall_seconds > 0.0 && fast.wall_seconds > 0.0)
+                    .then(|| (r.wall_seconds / fast.wall_seconds).ln())
+            })
+            .collect();
+        (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
     }
 
     /// Serializes the report as pretty-printed JSON (std-only writer).
@@ -222,7 +227,9 @@ impl ThroughputReport {
             ));
         }
         if let Some(s) = self.aggregate_speedup() {
-            t.push_str(&format!("fast-forward speedup vs reference: {s:.2}x\n"));
+            t.push_str(&format!(
+                "fast-forward speedup vs reference (geometric mean): {s:.2}x\n"
+            ));
         }
         t
     }
@@ -254,6 +261,26 @@ mod tests {
                     sim_cycles: 1000,
                     wall_seconds: 0.5,
                 },
+                // A short stall-free workload: 1.0 / 1.0 = 1x. Summed wall
+                // times would give 3.0 / 1.5 = 2x, dominated by `w`.
+                WorkloadThroughput {
+                    name: "v".into(),
+                    engine: EngineMode::Reference,
+                    execution: ExecutionMode::TimingOnly,
+                    kernels: "simd",
+                    graphs: 10,
+                    sim_cycles: 1000,
+                    wall_seconds: 1.0,
+                },
+                WorkloadThroughput {
+                    name: "v".into(),
+                    engine: EngineMode::FastForward,
+                    execution: ExecutionMode::TimingOnly,
+                    kernels: "simd",
+                    graphs: 10,
+                    sim_cycles: 1000,
+                    wall_seconds: 1.0,
+                },
                 // A functional row must not skew the engine-mode speedup.
                 WorkloadThroughput {
                     name: "w".into(),
@@ -266,14 +293,15 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(report.aggregate_speedup(), Some(4.0));
+        // Geometric mean of the per-workload ratios 4x and 1x.
+        assert_eq!(report.aggregate_speedup(), Some(2.0));
         let j = report.to_json();
         assert!(j.contains("\"benchmark\": \"sim_throughput\""));
         assert!(j.contains("\"engine\": \"reference\""));
         assert!(j.contains("\"execution\": \"timing-only\""));
         assert!(j.contains("\"execution\": \"full\""));
         assert!(j.contains("\"kernels\": \"simd\""));
-        assert!(j.contains("\"fast_forward_speedup\": 4.00"));
+        assert!(j.contains("\"fast_forward_speedup\": 2.00"));
         assert!(j.contains("\"cycles_per_second\": 500.0"));
     }
 

@@ -1,6 +1,7 @@
 //! Fully-connected (linear) layer.
 
-use crate::{ops, simd, Activation, Matrix, WeightInit};
+use crate::simd::{self, F32x8, LANES};
+use crate::{Activation, Matrix, WeightInit};
 
 /// A fully-connected layer `y = act(W·x + b)`.
 ///
@@ -26,10 +27,12 @@ use crate::{ops, simd, Activation, Matrix, WeightInit};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Matrix,
-    // Transposed copy (`in × out`) kept alongside the canonical `out × in`
-    // matrix: the input-stationary SIMD path streams one *contiguous*
-    // transposed row per nonzero input instead of a strided column walk.
-    wt: Matrix,
+    // Transposed copy (`in × out`, row-major, then `LANES` zeros) kept
+    // alongside the canonical `out × in` matrix: the input-stationary
+    // SIMD path streams one *contiguous* transposed row per nonzero input
+    // instead of a strided column walk. The trailing zeros let the last
+    // output tile of any row load a full lane vector.
+    wt: Vec<f32>,
     bias: Vec<f32>,
     activation: Activation,
 }
@@ -48,7 +51,8 @@ impl Linear {
             bias.len(),
             weight.rows()
         );
-        let wt = weight.transposed();
+        let mut wt = weight.transposed().into_vec();
+        wt.resize(wt.len() + LANES, 0.0);
         Self {
             weight,
             wt,
@@ -139,12 +143,18 @@ impl Linear {
     /// (`P_apply` input elements per cycle); exposing it lets the simulator
     /// share the arithmetic while accounting cycles itself.
     ///
-    /// The SIMD path tiles the same schedule: each nonzero input selects
-    /// one contiguous row of the transposed weights, and eight such rows
-    /// at a time sweep the output 8 lanes wide ([`ops::axpy8`], with
-    /// [`ops::axpy4`]/[`ops::axpy`] tails). Per output element the adds
-    /// still apply in ascending input order, so both kernel paths are
-    /// **bit-identical**, zero-skipping included.
+    /// The SIMD path runs the same schedule output-tiled, so the output
+    /// never round-trips through memory per input. It first packs the
+    /// nonzero inputs once, as `(x_i, offset of transposed row i)` in
+    /// ascending `i` (up to 64 per pass, in a stack buffer). Then each
+    /// output tile of 32 elements — 8-wide tiles, and one more 8-wide
+    /// tile with discarded dead lanes for the tail — is loaded into
+    /// registers, takes
+    /// `acc += x_i * Wᵀ[i][tile]` for every packed input, and is stored
+    /// once. Per output element the sum is still the bias, then the
+    /// nonzero inputs in ascending order, each an unfused multiply and a
+    /// rounded add, so both kernel paths are **bit-identical**,
+    /// zero-skipping and signed zeros included.
     ///
     /// # Panics
     ///
@@ -173,37 +183,80 @@ impl Linear {
             return;
         }
         let o = out.as_mut_slice();
-        // Gather nonzero inputs into blocks of eight transposed rows (a
-        // 4-row block then singles for the tail); the per-element add
-        // order inside a block stays ascending in `i`.
-        let mut ks = [0.0f32; 8];
-        let mut rows: [&[f32]; 8] = [&[]; 8];
+        let mut packed = [(0.0f32, 0usize); PACKED];
         let mut n = 0;
         for (i, xi) in x.iter().enumerate() {
             if *xi == 0.0 {
                 continue; // skip zero inputs; result identical, cheaper in sim
             }
-            ks[n] = *xi;
-            rows[n] = self.wt.row(i);
+            packed[n] = (*xi, i * o.len());
             n += 1;
-            if n == 8 {
-                ops::axpy8(o, ks, rows);
+            if n == PACKED {
+                accumulate_tiles(o, &self.wt, &packed);
                 n = 0;
             }
         }
-        if n >= 4 {
-            ops::axpy4(
-                o,
-                [ks[0], ks[1], ks[2], ks[3]],
-                [rows[0], rows[1], rows[2], rows[3]],
-            );
-            ks.copy_within(4..8, 0);
-            rows.copy_within(4..8, 0);
-            n -= 4;
+        accumulate_tiles(o, &self.wt, &packed[..n]);
+    }
+}
+
+/// Output elements per register tile of the SIMD `Linear` path: four
+/// [`F32x8`] accumulators, which stay in registers across every packed
+/// input of a pass.
+const TILE: usize = 4 * LANES;
+
+/// Nonzero inputs packed per pass of the SIMD `Linear` path. The buffer
+/// is a stack array; a wider input runs as several passes, each of which
+/// reloads and re-stores the output once, so no width allocates.
+const PACKED: usize = 64;
+
+/// `o[j] += x * wt[off + j]` for every packed `(x, off)` in order, one
+/// output tile at a time: 32-wide register tiles, then 8-wide ones. The
+/// last `< 8` outputs run as one more 8-wide tile through a stack copy:
+/// its dead lanes read past the end of each weight row (into the next
+/// row, or the trailing zeros of `wt`) and are never stored back. Each
+/// tile is loaded and stored once per pass.
+fn accumulate_tiles(o: &mut [f32], wt: &[f32], packed: &[(f32, usize)]) {
+    if packed.is_empty() {
+        return;
+    }
+    let mut t = 0;
+    while t + TILE <= o.len() {
+        accumulate_tile::<4>(&mut o[t..t + TILE], wt, packed, t);
+        t += TILE;
+    }
+    while t + LANES <= o.len() {
+        accumulate_tile::<1>(&mut o[t..t + LANES], wt, packed, t);
+        t += LANES;
+    }
+    let live = o.len() - t;
+    if live > 0 {
+        let mut tail = [0.0f32; LANES];
+        tail[..live].copy_from_slice(&o[t..]);
+        accumulate_tile::<1>(&mut tail, wt, packed, t);
+        o[t..].copy_from_slice(&tail[..live]);
+    }
+}
+
+/// One register tile: `N` lane vectors of outputs, which start at column
+/// `t` of every transposed weight row.
+#[inline(always)]
+fn accumulate_tile<const N: usize>(
+    tile: &mut [f32],
+    wt: &[f32],
+    packed: &[(f32, usize)],
+    t: usize,
+) {
+    let mut acc: [F32x8; N] = std::array::from_fn(|v| F32x8::load(&tile[v * LANES..]));
+    for &(xi, off) in packed {
+        let k = F32x8::splat(xi);
+        let row = &wt[off + t..off + t + N * LANES];
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = F32x8::load(&row[v * LANES..]).fma(k, *a);
         }
-        for j in 0..n {
-            ops::axpy(o, ks[j], rows[j]);
-        }
+    }
+    for (v, a) in acc.iter().enumerate() {
+        a.store(&mut tile[v * LANES..]);
     }
 }
 

@@ -4,14 +4,14 @@
 //! aggregation stages execute. They are plain functions (no trait dispatch)
 //! so the hot simulation loops stay branch-predictable.
 //!
-//! Every kernel that benefits from width dispatches between an [`F32x8`]
-//! SIMD body and the retained scalar reference path in [`scalar`]; see
-//! [`crate::simd`] for the tail-masking and determinism contract. The
-//! element-wise kernels (`add_assign`, `max_assign`, `min_assign`,
-//! `scale`, `axpy`, `axpy4`, `relu`) preserve per-element evaluation
-//! order, so both paths are **bit-identical**; `dot` reassociates into a
-//! fixed lane-accumulator tree and is pinned to the scalar result within
-//! 1e-6 by the property tests.
+//! `dot` dispatches between an [`F32x8`] SIMD body and the retained
+//! scalar reference path in [`scalar`] (see [`crate::simd`] for the
+//! determinism contract): it reassociates into a fixed lane-accumulator
+//! tree and is pinned to the scalar result within 1e-6 by the property
+//! tests. The element-wise kernels (`add_assign`, `max_assign`,
+//! `min_assign`, `scale`, `axpy`, `relu`) are plain loops on both paths:
+//! LLVM vectorizes them under x86-64-v3, and hand-written lane bodies
+//! measured no faster.
 
 use crate::simd::{scalar_kernels, F32x8, LANES};
 
@@ -22,98 +22,6 @@ use crate::simd::{scalar_kernels, F32x8, LANES};
 /// the `--scalar-kernels` runtime toggle) reproduce historical numbers
 /// exactly.
 pub mod scalar {
-    /// Scalar `dst += src`. See [`super::add_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
-    }
-
-    /// Scalar `dst = max(dst, src)`. See [`super::max_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn max_assign(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "max_assign length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.max(*s);
-        }
-    }
-
-    /// Scalar `dst = min(dst, src)`. See [`super::min_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn min_assign(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "min_assign length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.min(*s);
-        }
-    }
-
-    /// Scalar `xs *= k`. See [`super::scale`].
-    pub fn scale(xs: &mut [f32], k: f32) {
-        for x in xs {
-            *x *= k;
-        }
-    }
-
-    /// Scalar `dst += k * src`. See [`super::axpy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn axpy(dst: &mut [f32], k: f32, src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += k * s;
-        }
-    }
-
-    /// Scalar four-fold axpy. See [`super::axpy4`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source length differs from `dst`.
-    pub fn axpy4(dst: &mut [f32], ks: [f32; 4], srcs: [&[f32]; 4]) {
-        for src in srcs {
-            assert_eq!(dst.len(), src.len(), "axpy4 length mismatch");
-        }
-        for (i, d) in dst.iter_mut().enumerate() {
-            // Per element: the four updates apply in order, exactly as
-            // four sequential axpy calls would.
-            *d += ks[0] * srcs[0][i];
-            *d += ks[1] * srcs[1][i];
-            *d += ks[2] * srcs[2][i];
-            *d += ks[3] * srcs[3][i];
-        }
-    }
-
-    /// Scalar eight-fold axpy. See [`super::axpy8`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source length differs from `dst`.
-    pub fn axpy8(dst: &mut [f32], ks: [f32; 8], srcs: [&[f32]; 8]) {
-        for src in srcs {
-            assert_eq!(dst.len(), src.len(), "axpy8 length mismatch");
-        }
-        for (i, d) in dst.iter_mut().enumerate() {
-            // Per element: the eight updates apply in order, exactly as
-            // eight sequential axpy calls would.
-            for (k, src) in ks.iter().zip(&srcs) {
-                *d += k * src[i];
-            }
-        }
-    }
-
     /// Scalar sequential dot product. See [`super::dot`].
     ///
     /// # Panics
@@ -123,239 +31,60 @@ pub mod scalar {
         assert_eq!(a.len(), b.len(), "dot length mismatch");
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
-
-    /// Scalar `xs = max(xs, 0)`. See [`super::relu`].
-    pub fn relu(xs: &mut [f32]) {
-        for x in xs {
-            *x = x.max(0.0);
-        }
-    }
-}
-
-/// Shared zip-into-`dst` loop for the binary element-wise kernels:
-/// four lane chunks per iteration (matching the unroll LLVM gives the
-/// scalar references), then single chunks, then a scalar tail. `lane`
-/// and `tail` must compute the same per-element function, which keeps
-/// every caller bit-identical to its scalar reference.
-#[inline(always)]
-fn zip_lanes(
-    dst: &mut [f32],
-    src: &[f32],
-    lane: impl Fn(F32x8, F32x8) -> F32x8,
-    tail: impl Fn(f32, f32) -> f32,
-) {
-    let len = dst.len();
-    let mut i = 0;
-    while i + 4 * LANES <= len {
-        let r0 = lane(F32x8::load(&dst[i..]), F32x8::load(&src[i..]));
-        let r1 = lane(
-            F32x8::load(&dst[i + LANES..]),
-            F32x8::load(&src[i + LANES..]),
-        );
-        let r2 = lane(
-            F32x8::load(&dst[i + 2 * LANES..]),
-            F32x8::load(&src[i + 2 * LANES..]),
-        );
-        let r3 = lane(
-            F32x8::load(&dst[i + 3 * LANES..]),
-            F32x8::load(&src[i + 3 * LANES..]),
-        );
-        r0.store(&mut dst[i..]);
-        r1.store(&mut dst[i + LANES..]);
-        r2.store(&mut dst[i + 2 * LANES..]);
-        r3.store(&mut dst[i + 3 * LANES..]);
-        i += 4 * LANES;
-    }
-    while i + LANES <= len {
-        lane(F32x8::load(&dst[i..]), F32x8::load(&src[i..])).store(&mut dst[i..]);
-        i += LANES;
-    }
-    while i < len {
-        dst[i] = tail(dst[i], src[i]);
-        i += 1;
-    }
-}
-
-/// Unary sibling of [`zip_lanes`] for the in-place map kernels.
-#[inline(always)]
-fn map_lanes(xs: &mut [f32], lane: impl Fn(F32x8) -> F32x8, tail: impl Fn(f32) -> f32) {
-    let len = xs.len();
-    let mut i = 0;
-    while i + 4 * LANES <= len {
-        let r0 = lane(F32x8::load(&xs[i..]));
-        let r1 = lane(F32x8::load(&xs[i + LANES..]));
-        let r2 = lane(F32x8::load(&xs[i + 2 * LANES..]));
-        let r3 = lane(F32x8::load(&xs[i + 3 * LANES..]));
-        r0.store(&mut xs[i..]);
-        r1.store(&mut xs[i + LANES..]);
-        r2.store(&mut xs[i + 2 * LANES..]);
-        r3.store(&mut xs[i + 3 * LANES..]);
-        i += 4 * LANES;
-    }
-    while i + LANES <= len {
-        lane(F32x8::load(&xs[i..])).store(&mut xs[i..]);
-        i += LANES;
-    }
-    while i < len {
-        xs[i] = tail(xs[i]);
-        i += 1;
-    }
 }
 
 /// Adds `src` into `dst` element-wise (`dst += src`).
-///
-/// Bit-identical to [`scalar::add_assign`] on both kernel paths.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::add_assign(dst, src);
-    }
     assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
-    zip_lanes(dst, src, |d, s| d + s, |d, s| d + s);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
 }
 
 /// Element-wise maximum into `dst` (`dst = max(dst, src)`).
-///
-/// Bit-identical to [`scalar::max_assign`] on both kernel paths.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn max_assign(dst: &mut [f32], src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::max_assign(dst, src);
-    }
     assert_eq!(dst.len(), src.len(), "max_assign length mismatch");
-    zip_lanes(dst, src, |d, s| d.max(s), f32::max);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = d.max(*s);
+    }
 }
 
 /// Element-wise minimum into `dst` (`dst = min(dst, src)`).
-///
-/// Bit-identical to [`scalar::min_assign`] on both kernel paths.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn min_assign(dst: &mut [f32], src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::min_assign(dst, src);
-    }
     assert_eq!(dst.len(), src.len(), "min_assign length mismatch");
-    zip_lanes(dst, src, |d, s| d.min(s), f32::min);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = d.min(*s);
+    }
 }
 
 /// Scales every element of `xs` by `k`.
-///
-/// Bit-identical to [`scalar::scale`] on both kernel paths.
 pub fn scale(xs: &mut [f32], k: f32) {
-    if scalar_kernels() {
-        return scalar::scale(xs, k);
+    for x in xs {
+        *x *= k;
     }
-    let kv = F32x8::splat(k);
-    map_lanes(xs, |x| x * kv, |x| x * k);
 }
 
 /// `dst += k * src` (axpy).
-///
-/// Bit-identical to [`scalar::axpy`] on both kernel paths (the lane
-/// multiply-add is unfused).
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn axpy(dst: &mut [f32], k: f32, src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::axpy(dst, k, src);
-    }
     assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    let kv = F32x8::splat(k);
-    zip_lanes(dst, src, |d, s| s.fma(kv, d), |d, s| d + k * s);
-}
-
-/// Four axpy updates applied in order: `dst += k0*s0; …; dst += k3*s3`.
-///
-/// This is the 4-way blocked inner step of the tiled
-/// [`crate::Linear::forward`]: four input elements share one pass over
-/// the output vector, quartering the loads/stores of `dst`. Per output
-/// element the four adds apply sequentially in index order, so the
-/// result is **bit-identical** to four consecutive [`axpy`] calls (and
-/// to [`scalar::axpy4`]).
-///
-/// # Panics
-///
-/// Panics if any source length differs from `dst`.
-pub fn axpy4(dst: &mut [f32], ks: [f32; 4], srcs: [&[f32]; 4]) {
-    if scalar_kernels() {
-        return scalar::axpy4(dst, ks, srcs);
-    }
-    for src in srcs {
-        assert_eq!(dst.len(), src.len(), "axpy4 length mismatch");
-    }
-    let kv = [
-        F32x8::splat(ks[0]),
-        F32x8::splat(ks[1]),
-        F32x8::splat(ks[2]),
-        F32x8::splat(ks[3]),
-    ];
-    let mut i = 0;
-    while i + LANES <= dst.len() {
-        let dc = &mut dst[i..i + LANES];
-        let mut acc = F32x8::load(dc);
-        acc = F32x8::load(&srcs[0][i..]).fma(kv[0], acc);
-        acc = F32x8::load(&srcs[1][i..]).fma(kv[1], acc);
-        acc = F32x8::load(&srcs[2][i..]).fma(kv[2], acc);
-        acc = F32x8::load(&srcs[3][i..]).fma(kv[3], acc);
-        acc.store(dc);
-        i += LANES;
-    }
-    for j in i..dst.len() {
-        let mut d = dst[j];
-        d += ks[0] * srcs[0][j];
-        d += ks[1] * srcs[1][j];
-        d += ks[2] * srcs[2][j];
-        d += ks[3] * srcs[3][j];
-        dst[j] = d;
-    }
-}
-
-/// Eight axpy updates applied in order: `dst += k0*s0; …; dst += k7*s7`.
-///
-/// The 8-way blocked inner step of the tiled [`crate::Linear::forward`]:
-/// eight input elements share one pass over the output vector. Per
-/// output element the eight adds apply sequentially in index order, so
-/// the result is **bit-identical** to eight consecutive [`axpy`] calls
-/// (and to [`scalar::axpy8`]).
-///
-/// # Panics
-///
-/// Panics if any source length differs from `dst`.
-pub fn axpy8(dst: &mut [f32], ks: [f32; 8], srcs: [&[f32]; 8]) {
-    if scalar_kernels() {
-        return scalar::axpy8(dst, ks, srcs);
-    }
-    for src in srcs {
-        assert_eq!(dst.len(), src.len(), "axpy8 length mismatch");
-    }
-    let kv: [F32x8; 8] = std::array::from_fn(|j| F32x8::splat(ks[j]));
-    let mut i = 0;
-    while i + LANES <= dst.len() {
-        let dc = &mut dst[i..i + LANES];
-        let mut acc = F32x8::load(dc);
-        for (k, src) in kv.iter().zip(&srcs) {
-            acc = F32x8::load(&src[i..]).fma(*k, acc);
-        }
-        acc.store(dc);
-        i += LANES;
-    }
-    for j in i..dst.len() {
-        let mut d = dst[j];
-        for (k, src) in ks.iter().zip(&srcs) {
-            d += k * src[j];
-        }
-        dst[j] = d;
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += k * s;
     }
 }
 
@@ -398,14 +127,11 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// In-place ReLU: `xs[i] = max(xs[i], 0)`.
 ///
-/// Bit-identical to [`scalar::relu`] on both kernel paths and to
-/// [`crate::Activation::Relu`] applied element-wise.
+/// Bit-identical to [`crate::Activation::Relu`] applied element-wise.
 pub fn relu(xs: &mut [f32]) {
-    if scalar_kernels() {
-        return scalar::relu(xs);
+    for x in xs {
+        *x = x.max(0.0);
     }
-    let zero = F32x8::ZERO;
-    map_lanes(xs, |x| x.max(zero), |x| x.max(0.0));
 }
 
 /// Element-wise sum of two slices into a fresh vector.
@@ -531,23 +257,6 @@ mod tests {
         axpy(&mut d, 2.0, &[1.0, -1.0]);
         assert_eq!(d, vec![3.0, -1.0]);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-    }
-
-    #[test]
-    fn axpy4_equals_four_axpys() {
-        // Length 11 exercises a full lane chunk and a 3-element tail.
-        let base: Vec<f32> = (0..11).map(|i| (i as f32 * 0.7).sin()).collect();
-        let srcs: Vec<Vec<f32>> = (0..4)
-            .map(|j| (0..11).map(|i| ((i + 3 * j) as f32 * 0.3).cos()).collect())
-            .collect();
-        let ks = [0.5, -1.25, 2.0, 0.125];
-        let mut blocked = base.clone();
-        axpy4(&mut blocked, ks, [&srcs[0], &srcs[1], &srcs[2], &srcs[3]]);
-        let mut sequential = base;
-        for (k, s) in ks.iter().zip(&srcs) {
-            axpy(&mut sequential, *k, s);
-        }
-        assert_eq!(blocked, sequential, "axpy4 must be bit-identical");
     }
 
     #[test]

@@ -9,17 +9,22 @@
 //!
 //! # Tail-masking convention
 //!
-//! Kernels in [`crate::ops`] process `LANES`-sized chunks with `F32x8`
-//! and finish the remainder one of two ways:
+//! Kernels process `LANES`-sized chunks with `F32x8` and finish the
+//! remainder one of two ways:
 //!
-//! * **scalar tail** — element-wise kernels (`add_assign`, `axpy`, …)
-//!   run the leftover `< LANES` elements through the same scalar
-//!   expression the vector lanes compute, so results are bit-identical
-//!   to the retained scalar path;
+//! * **discarded dead lanes** — the output tiles of
+//!   [`crate::Linear::forward`] run the leftover `< LANES` outputs
+//!   through a full lane vector (the weight buffer ends in `LANES`
+//!   zeros, so its loads stay in bounds) and store back only the live
+//!   lanes, each of which computes the same expression as the scalar
+//!   path, so results are bit-identical to it;
 //! * **masked load** — reductions (`dot`) widen the tail with
 //!   [`F32x8::load_or`], padding dead lanes with the reduction's
 //!   identity (`0.0` for sums) so the fixed lane-reduction tree sees a
 //!   full vector.
+//!
+//! The element-wise kernels of [`crate::ops`] have no lane body: LLVM
+//! vectorizes their plain loops, which measured at least as fast.
 //!
 //! # Determinism
 //!
@@ -92,7 +97,7 @@ pub fn kernel_path() -> &'static str {
 ///
 /// let a = F32x8::splat(2.0);
 /// let b = F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-/// assert_eq!((a * b).horizontal_sum(), 2.0 * 36.0);
+/// assert_eq!(a.fma(b, F32x8::ZERO).horizontal_sum(), 2.0 * 36.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F32x8([f32; LANES]);
@@ -149,18 +154,6 @@ impl F32x8 {
         Self(std::array::from_fn(|i| self.0[i] * b.0[i] + c.0[i]))
     }
 
-    /// Lane-wise maximum (NaN-ignoring, like [`f32::max`]).
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i].max(rhs.0[i])))
-    }
-
-    /// Lane-wise minimum (NaN-ignoring, like [`f32::min`]).
-    #[inline(always)]
-    pub fn min(self, rhs: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i].min(rhs.0[i])))
-    }
-
     /// Sum of all lanes via a fixed pairwise tree
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — deterministic
     /// regardless of how the vector was produced.
@@ -168,20 +161,6 @@ impl F32x8 {
     pub fn horizontal_sum(self) -> f32 {
         let l = self.0;
         ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
-    }
-
-    /// Maximum over all lanes (pairwise tree, NaN-ignoring).
-    #[inline(always)]
-    pub fn horizontal_max(self) -> f32 {
-        let l = self.0;
-        (l[0].max(l[1]).max(l[2].max(l[3]))).max(l[4].max(l[5]).max(l[6].max(l[7])))
-    }
-
-    /// Minimum over all lanes (pairwise tree, NaN-ignoring).
-    #[inline(always)]
-    pub fn horizontal_min(self) -> f32 {
-        let l = self.0;
-        (l[0].min(l[1]).min(l[2].min(l[3]))).min(l[4].min(l[5]).min(l[6].min(l[7])))
     }
 
     /// The backing lane array.
@@ -198,16 +177,6 @@ impl std::ops::Add for F32x8 {
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         Self(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
-    }
-}
-
-/// Lane-wise multiplication.
-impl std::ops::Mul for F32x8 {
-    type Output = Self;
-
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        Self(std::array::from_fn(|i| self.0[i] * rhs.0[i]))
     }
 }
 
@@ -229,19 +198,13 @@ mod tests {
         let (a, b) = (F32x8::from(A), F32x8::from(B));
         for i in 0..LANES {
             assert_eq!((a + b).to_array()[i], A[i] + B[i]);
-            assert_eq!((a * b).to_array()[i], A[i] * B[i]);
             assert_eq!(a.fma(b, a).to_array()[i], A[i] * B[i] + A[i]);
-            assert_eq!(a.max(b).to_array()[i], A[i].max(B[i]));
-            assert_eq!(a.min(b).to_array()[i], A[i].min(B[i]));
         }
     }
 
     #[test]
-    fn horizontal_reductions() {
-        let a = F32x8::from(A);
-        assert_eq!(a.horizontal_sum(), -4.0);
-        assert_eq!(a.horizontal_max(), 7.0);
-        assert_eq!(a.horizontal_min(), -8.0);
+    fn horizontal_sum_reduces_all_lanes() {
+        assert_eq!(F32x8::from(A).horizontal_sum(), -4.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Lengths 0..64 cover every tail mask (all residues modulo the lane
 //! width, through both the 16-wide and 8-wide dot chunk stages), with
-//! randomized inputs from the in-tree xoshiro PRNG. Element-wise
-//! kernels must be **bit-identical** to the retained scalar path; `dot`
-//! (the one reassociating reduction) is pinned within 1e-6.
+//! randomized inputs from the in-tree xoshiro PRNG. The tiled `Linear`
+//! must be **bit-identical** to the retained scalar path; `dot` (the one
+//! reassociating reduction) is pinned within 1e-6.
 
 use flowgnn_rng::Rng;
 use flowgnn_tensor::ops::{self, scalar};
@@ -30,117 +30,6 @@ fn sparse_vec(rng: &mut Rng, len: usize) -> Vec<f32> {
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
-}
-
-#[test]
-fn elementwise_kernels_are_bit_identical_across_all_tail_masks() {
-    let mut rng = Rng::seed_from_u64(0xC0FFEE);
-    for len in 0..64 {
-        for trial in 0..4 {
-            let src = random_vec(&mut rng, len);
-            let base = random_vec(&mut rng, len);
-            let k = rng.gen_range(-3.0f32..=3.0);
-            let what = format!("len {len} trial {trial}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            ops::add_assign(&mut a, &src);
-            scalar::add_assign(&mut b, &src);
-            assert_eq!(bits(&a), bits(&b), "add_assign {what}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            ops::max_assign(&mut a, &src);
-            scalar::max_assign(&mut b, &src);
-            assert_eq!(bits(&a), bits(&b), "max_assign {what}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            ops::min_assign(&mut a, &src);
-            scalar::min_assign(&mut b, &src);
-            assert_eq!(bits(&a), bits(&b), "min_assign {what}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            ops::scale(&mut a, k);
-            scalar::scale(&mut b, k);
-            assert_eq!(bits(&a), bits(&b), "scale {what}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            ops::axpy(&mut a, k, &src);
-            scalar::axpy(&mut b, k, &src);
-            assert_eq!(bits(&a), bits(&b), "axpy {what}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            ops::relu(&mut a);
-            scalar::relu(&mut b);
-            assert_eq!(bits(&a), bits(&b), "relu {what}");
-        }
-    }
-}
-
-#[test]
-fn axpy4_is_bit_identical_across_all_tail_masks() {
-    let mut rng = Rng::seed_from_u64(0xAB5E);
-    for len in 0..64 {
-        let base = random_vec(&mut rng, len);
-        let srcs: Vec<Vec<f32>> = (0..4).map(|_| random_vec(&mut rng, len)).collect();
-        let ks = [
-            rng.gen_range(-3.0f32..=3.0),
-            rng.gen_range(-3.0f32..=3.0),
-            rng.gen_range(-3.0f32..=3.0),
-            rng.gen_range(-3.0f32..=3.0),
-        ];
-        let views = [
-            srcs[0].as_slice(),
-            srcs[1].as_slice(),
-            srcs[2].as_slice(),
-            srcs[3].as_slice(),
-        ];
-        let mut blocked = base.clone();
-        ops::axpy4(&mut blocked, ks, views);
-        let mut reference = base.clone();
-        scalar::axpy4(&mut reference, ks, views);
-        assert_eq!(bits(&blocked), bits(&reference), "axpy4 len {len}");
-        // And the block must equal four sequential axpys exactly.
-        let mut sequential = base;
-        for (k, s) in ks.iter().zip(&views) {
-            scalar::axpy(&mut sequential, *k, s);
-        }
-        assert_eq!(
-            bits(&blocked),
-            bits(&sequential),
-            "axpy4 vs axpys len {len}"
-        );
-    }
-}
-
-#[test]
-fn axpy8_is_bit_identical_across_all_tail_masks() {
-    let mut rng = Rng::seed_from_u64(0xAB5F);
-    for len in 0..64 {
-        let base = random_vec(&mut rng, len);
-        let srcs: Vec<Vec<f32>> = (0..8).map(|_| random_vec(&mut rng, len)).collect();
-        let ks: [f32; 8] = std::array::from_fn(|_| rng.gen_range(-3.0f32..=3.0));
-        let views: [&[f32]; 8] = std::array::from_fn(|i| srcs[i].as_slice());
-        let mut blocked = base.clone();
-        ops::axpy8(&mut blocked, ks, views);
-        let mut reference = base.clone();
-        scalar::axpy8(&mut reference, ks, views);
-        assert_eq!(bits(&blocked), bits(&reference), "axpy8 len {len}");
-        // And the block must equal eight sequential axpys exactly.
-        let mut sequential = base;
-        for (k, s) in ks.iter().zip(&views) {
-            scalar::axpy(&mut sequential, *k, s);
-        }
-        assert_eq!(
-            bits(&blocked),
-            bits(&sequential),
-            "axpy8 vs axpys len {len}"
-        );
-    }
 }
 
 #[test]
